@@ -60,7 +60,7 @@ fn bench_seed_selection(c: &mut Criterion) {
 
     group.bench_function("celf_select_k50", |b| {
         let index = CoverageIndex::build(&store, n, 1);
-        b.iter(|| black_box(CelfGreedy { threads: 1 }.select(&index, &store, 50).covered));
+        b.iter(|| black_box(CelfGreedy.select(&index, &store, 50).covered));
     });
 
     group.bench_function("kpt_star_k50", |b| {
@@ -183,41 +183,29 @@ fn bench_selector_comparison(c: &mut Criterion) {
     }
 
     // Selectors: the naive oracle vs CELF, the latter pinned scalar and on
-    // the active (auto-dispatched) SIMD kernels. Every row must agree.
+    // the active (auto-dispatched) SIMD kernels. Both run on the calling
+    // thread, so each gets one row. Every row must agree.
     let (naive, secs) = timed(|| NaiveGreedy.select(&index, &store, k));
     runs.push(Run {
         label: "select_naive".into(),
         threads: 1,
         secs,
     });
-    let mut celf_threads = vec![1usize, max_threads];
-    celf_threads.dedup();
-    for threads in celf_threads.clone() {
-        let (celf_r, secs) =
-            timed(|| CelfGreedy { threads }.select_with(&index, &store, k, SimdMode::Scalar));
+    for (label, mode) in [
+        ("select_celf", SimdMode::Scalar),
+        ("select_celf_simd", simd::active()),
+    ] {
+        let (celf_r, secs) = timed(|| CelfGreedy.select_with(&index, &store, k, mode));
         // The determinism contract CI enforces: byte-identical seed sets.
-        assert_eq!(
-            celf_r, naive,
-            "CELF (scalar) diverged from the naive-greedy oracle at {threads} threads"
-        );
-        runs.push(Run {
-            label: "select_celf".into(),
-            threads,
-            secs,
-        });
-    }
-    for threads in celf_threads {
-        let (celf_r, secs) =
-            timed(|| CelfGreedy { threads }.select_with(&index, &store, k, simd::active()));
         assert_eq!(
             celf_r,
             naive,
-            "CELF ({}) diverged from the naive-greedy oracle at {threads} threads",
-            simd::active().name()
+            "CELF ({}) diverged from the naive-greedy oracle",
+            mode.name()
         );
         runs.push(Run {
-            label: "select_celf_simd".into(),
-            threads,
+            label: label.into(),
+            threads: 1,
             secs,
         });
     }
@@ -251,7 +239,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
             ("simd", format!("\"{}\"", simd::active().name())),
             (
                 "note",
-                "\"selectors return byte-identical seed sets across selectors, threads, and SIMD modes (asserted); index_build_fused times only the merge-time from_fragments materialization (fragment histograms ride inside generation in production); select_celf is pinned scalar, select_celf_simd runs the active kernels; on a host where host_cores = 1 the multi-thread rows measure pure oversubscription overhead\"".into(),
+                "\"selectors return byte-identical seed sets across selectors and SIMD modes (asserted); index_build_fused times only the merge-time from_fragments materialization (fragment histograms ride inside generation in production); selectors run single-threaded: select_celf is pinned scalar, select_celf_simd runs the active kernels; on a host where host_cores = 1 the multi-thread index rows measure pure oversubscription overhead\"".into(),
             ),
         ],
         &runs

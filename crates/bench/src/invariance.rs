@@ -7,7 +7,7 @@
 //!    worker count at a fixed seed. This is the contract of the learning
 //!    layer (`comic_actionlog::{learn_influence, learn_gaps_with}`), the
 //!    parallel generators (`comic_graph::gen::par`), and the seed-selection
-//!    engine (`comic_ris::select`: index builds and CELF sweeps). Checked
+//!    engine (`comic_ris::select`: index builds and CELF picks). Checked
 //!    by [`assert_thread_invariance`] / [`check_thread_invariance`].
 //! 2. **Per-configuration reproducibility** — the output is byte-identical
 //!    when the *same* `(seed, threads)` pair is run twice, though different
@@ -421,8 +421,9 @@ mod tests {
         );
     }
 
-    /// Seed selection: given a fixed RR-set store, index builds and CELF
-    /// sweeps are fully thread-count invariant.
+    /// Seed selection: given a fixed RR-set store, the index build is fully
+    /// thread-count invariant, and so is the (single-threaded) CELF pick
+    /// over it.
     #[test]
     fn seed_selection_is_thread_invariant() {
         let g = test_graph(120, 700, 8);
@@ -430,7 +431,7 @@ mod tests {
         let n = g.num_nodes();
         assert_thread_invariance("coverage_index+celf", |threads| {
             let index = CoverageIndex::build(&store, n, threads);
-            let sol = CelfGreedy { threads }.select(&index, &store, 10);
+            let sol = CelfGreedy.select(&index, &store, 10);
             let mut acc: Vec<u64> = sol.seeds.iter().map(|s| s.0 as u64).collect();
             acc.push(sol.covered);
             acc.extend(sol.marginals.iter().copied());

@@ -1,35 +1,25 @@
-//! Greedy maximum coverage over an [`RrStore`] — compatibility façade over
-//! the [`crate::select`] engine (GeneralTIM lines 4–8).
+//! Greedy maximum coverage over an [`RrStore`](crate::rr::RrStore) — the
+//! result type of GeneralTIM lines 4–8.
 //!
 //! The index construction and the selection strategies live in
-//! [`crate::select`]; this module keeps the original one-shot entry point
-//! and re-exports [`CoverageResult`] for existing callers.
-
-use crate::rr::RrStore;
-use crate::select::{CelfGreedy, CoverageIndex, SeedSelector};
+//! [`crate::select`]; this module re-exports [`CoverageResult`] where
+//! callers have always imported it from, and keeps the end-to-end
+//! max-coverage tests over the index + CELF path.
 
 pub use crate::select::CoverageResult;
-
-/// Greedily pick `k` nodes maximizing the number of covered RR-sets.
-///
-/// One-shot convenience over the select engine: builds a
-/// [`CoverageIndex`] and runs the CELF lazy-greedy selector
-/// ([`CelfGreedy`]), both fanned out over `threads` workers (`0` = one per
-/// core; the *result* is thread-count invariant — `threads` is purely a
-/// latency knob). Ties are broken by smallest node id, so the result is
-/// identical to the [`crate::select::NaiveGreedy`] oracle. Callers that
-/// reuse the store for several selections or need a different strategy
-/// should use [`crate::select`] (or the full
-/// [`crate::pipeline::RisPipeline`]) directly.
-pub fn max_coverage(store: &RrStore, n: usize, k: usize, threads: usize) -> CoverageResult {
-    let index = CoverageIndex::build(store, n, threads);
-    CelfGreedy { threads }.select(&index, store, k)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rr::RrStore;
+    use crate::select::{CoverageIndex, SelectorKind};
     use comic_graph::{gen, NodeId};
+
+    /// Index build on `threads` workers plus CELF selection.
+    fn max_coverage(store: &RrStore, n: usize, k: usize, threads: usize) -> CoverageResult {
+        let index = CoverageIndex::build(store, n, threads);
+        SelectorKind::Celf.select(&index, store, k)
+    }
 
     fn store_from(sets: &[&[u32]]) -> (RrStore, usize) {
         let n = 1 + sets

@@ -31,6 +31,7 @@ use crate::pool::SketchPool;
 use crate::rr::RrStore;
 use crate::sampler::RrSampler;
 use crate::select::{CoverageIndex, CoverageResult};
+use crate::simd;
 use crate::tim::{theta, TimConfig, TimResult};
 use comic_graph::fasthash::splitmix64;
 use std::sync::Arc;
@@ -188,28 +189,44 @@ impl RisPipeline {
     /// Stage 4 alone over a pre-generated pool: run the configured
     /// selector over the pool's **resident coverage index** when it
     /// carries one (fused builds do — no per-query index construction at
-    /// all), or build one standalone otherwise, with **no RR-set
-    /// regeneration** either way — the warm path a resident query service
-    /// answers from. Honors this config's `k`, `selector`, and `threads`
-    /// (selection is thread-count invariant, so `threads` is purely a
-    /// latency knob here); θ, KPT*, and the capped flag come from the
-    /// pool's provenance.
+    /// all), or build one standalone on `threads` workers otherwise, with
+    /// **no RR-set regeneration** either way — the warm path a resident
+    /// query service answers from. Honors this config's `k` and
+    /// `selector`; θ, KPT*, and the capped flag come from the pool's
+    /// provenance.
     ///
     /// Errors if `k` exceeds the pool's node count. See the
     /// [`crate::pool`] docs for when the approximation guarantee carries
     /// over to `k ≠ design_k` queries.
     pub fn run_on_pool(&self, pool: &SketchPool) -> Result<TimResult, RisError> {
+        self.run_on_prefix(pool, pool.len())
+    }
+
+    /// [`RisPipeline::run_on_pool`] over only the pool's first `sets`
+    /// sketches — a per-query sketch budget. The result is bit-for-bit
+    /// `run_on_pool(&pool.prefix(sets))` (θ is the consulted count, and a
+    /// truncated answer is marked capped), but a pool with a resident index
+    /// answers it by bounding the selector's set ids, copying nothing.
+    pub fn run_on_prefix(&self, pool: &SketchPool, sets: usize) -> Result<TimResult, RisError> {
         let cfg = &self.cfg;
         cfg.validate(pool.num_nodes())?;
-        let cov = match pool.coverage_index() {
-            Some(index) => cfg.selector.select(index, pool.store(), cfg.k, cfg.threads),
-            None => select_seeds(cfg, pool.num_nodes(), pool.store()),
+        let bound = sets.min(pool.len());
+        let built;
+        let index = match pool.coverage_index() {
+            Some(index) => index.as_ref(),
+            None => {
+                built = CoverageIndex::build(pool.store(), pool.num_nodes(), cfg.threads);
+                &built
+            }
         };
+        let cov = cfg
+            .selector
+            .select_below(index, bound, cfg.k, simd::active());
         Ok(wrap(
             pool.num_nodes(),
             pool.kpt(),
-            pool.len() as u64,
-            pool.capped(),
+            bound as u64,
+            pool.capped_at(bound),
             cov,
         ))
     }
@@ -274,13 +291,14 @@ where
     .with_generation(pool.generation())
 }
 
-/// Stage 4 alone: build the inverted index over an existing `store` and run
-/// the configured selector. Selection is deterministic regardless of
-/// `cfg.threads` and identical across selectors (the contract verified by
-/// `benches/seed_selection.rs` and the cross-selector property tests).
+/// Stage 4 alone: build the inverted index over an existing `store` on
+/// `cfg.threads` workers and run the configured selector. Selection is
+/// deterministic regardless of `cfg.threads` and identical across selectors
+/// (the contract verified by `benches/seed_selection.rs` and the
+/// cross-selector property tests).
 pub fn select_seeds(cfg: &TimConfig, n: usize, store: &RrStore) -> CoverageResult {
     let index = CoverageIndex::build(store, n, cfg.threads);
-    cfg.selector.select(&index, store, cfg.k, cfg.threads)
+    cfg.selector.select(&index, store, cfg.k)
 }
 
 /// Wrap a selection over `store` into a [`TimResult`] (shared by the
@@ -419,6 +437,47 @@ mod tests {
             .is_err());
         assert!(RisPipeline::new(TimConfig::new(10_000))
             .run_on_pool(&pool)
+            .is_err());
+    }
+
+    #[test]
+    fn prefix_runs_equal_runs_on_the_copied_prefix() {
+        // A budgeted run over the resident index (and over a pool without
+        // one) must answer exactly what a run over `pool.prefix(sets)`
+        // answers: seeds, θ, coverage, estimate bits and the capped flag.
+        let g = test_graph();
+        let indexed = RisPipeline::new(TimConfig::new(10).seed(6).max_rr_sets(8_000))
+            .generate_pool(|| IcRrSampler::new(&g))
+            .unwrap();
+        let bare = SketchPool::new(
+            indexed.store_arc(),
+            indexed.num_nodes(),
+            indexed.seed(),
+            indexed.threads(),
+            indexed.design_k(),
+            indexed.epsilon(),
+            indexed.kpt(),
+            indexed.capped(),
+        );
+        let len = indexed.len();
+        for pool in [&indexed, &bare] {
+            for sets in [0, 1, len / 2, len - 1, len, len + 7] {
+                for k in [1, 6] {
+                    for selector in [SelectorKind::Celf, SelectorKind::NaiveGreedy] {
+                        let pipe = RisPipeline::new(TimConfig::new(k).selector(selector));
+                        let got = pipe.run_on_prefix(pool, sets).unwrap();
+                        let want = pipe.run_on_pool(&pool.prefix(sets)).unwrap();
+                        let at = format!("sets {sets} k {k} {selector:?}");
+                        assert_eq!(got.seeds, want.seeds, "{at}");
+                        assert_eq!((got.theta, got.covered), (want.theta, want.covered), "{at}");
+                        assert_eq!(got.est_spread.to_bits(), want.est_spread.to_bits(), "{at}");
+                        assert_eq!((got.capped, got.kpt), (want.capped, want.kpt), "{at}");
+                    }
+                }
+            }
+        }
+        assert!(RisPipeline::new(TimConfig::new(10_000))
+            .run_on_prefix(&indexed, 5)
             .is_err());
     }
 

@@ -8,8 +8,9 @@
 //! [`SketchPool`] ([`crate::pipeline::RisPipeline::generate_pool`], stages
 //! 1–3), then run the selection stage as many times as there are queries
 //! ([`crate::pipeline::RisPipeline::run_on_pool`], stage 4 only) with
-//! per-query `k`, selector, and budget — each query costs an index build
-//! plus a greedy sweep instead of millions of reverse BFS walks.
+//! per-query `k`, selector, and budget — each query costs a lazy greedy
+//! over the resident coverage index instead of millions of reverse BFS
+//! walks.
 //!
 //! A pool is immutable after construction and hands its [`RrStore`] around
 //! behind an [`Arc`], so any number of concurrent readers (query worker
@@ -237,6 +238,13 @@ impl SketchPool {
         self.capped
     }
 
+    /// Whether an answer from only the first `sets` sketches is capped: the
+    /// pool itself is, or the budget truncates it (see
+    /// [`SketchPool::prefix`]).
+    pub fn capped_at(&self, sets: usize) -> bool {
+        self.capped || sets < self.len()
+    }
+
     /// Caller-maintained refresh counter (0 for a fresh build).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -252,7 +260,10 @@ impl SketchPool {
     /// A pool over only the first `sets` sketches — the per-query *budget*
     /// knob: coarser, proportionally faster answers from the same samples.
     /// O(members copied); the original pool is untouched. The truncated
-    /// pool is marked [`SketchPool::capped`].
+    /// pool is marked [`SketchPool::capped`]. Budgeted queries are served
+    /// without the copy by [`SketchPool::estimate_spread_prefix`] and
+    /// [`crate::pipeline::RisPipeline::run_on_prefix`]; this copy is the
+    /// oracle they are tested against.
     pub fn prefix(&self, sets: usize) -> SketchPool {
         if sets >= self.len() {
             return self.clone();
@@ -277,13 +288,21 @@ impl SketchPool {
     /// Seeds outside the graph are ignored (callers validate; see
     /// `comic-serve`'s typed errors).
     pub fn estimate_spread(&self, seeds: &[NodeId]) -> f64 {
+        self.estimate_spread_prefix(seeds, self.len())
+    }
+
+    /// [`SketchPool::estimate_spread`] over only the first `sets` sketches
+    /// — a per-query budget. Bit-for-bit equal to
+    /// `self.prefix(sets).estimate_spread(seeds)`, read from the resident
+    /// store in place.
+    pub fn estimate_spread_prefix(&self, seeds: &[NodeId], sets: usize) -> f64 {
         let mut mark = vec![false; self.n];
         for &s in seeds {
             if s.index() < self.n {
                 mark[s.index()] = true;
             }
         }
-        self.n as f64 * self.store.coverage_fraction(&mark)
+        self.n as f64 * self.store.prefix_coverage_fraction(&mark, sets)
     }
 }
 
@@ -346,6 +365,22 @@ mod tests {
         assert_eq!(same.len(), pool.len());
         assert!(!same.capped());
         assert!(Arc::ptr_eq(&same.store, &pool.store));
+    }
+
+    #[test]
+    fn prefix_estimate_reads_the_resident_store_bit_for_bit() {
+        let pool = pool_over_star();
+        let len = pool.len();
+        let seed_sets: [&[NodeId]; 4] = [&[NodeId(0)], &[NodeId(1), NodeId(7)], &[], &[NodeId(39)]];
+        for sets in [0, 1, len / 2, len - 1, len, len + 7] {
+            for seeds in seed_sets {
+                assert_eq!(
+                    pool.estimate_spread_prefix(seeds, sets).to_bits(),
+                    pool.prefix(sets).estimate_spread(seeds).to_bits(),
+                    "sets {sets} seeds {seeds:?}"
+                );
+            }
+        }
     }
 
     #[test]

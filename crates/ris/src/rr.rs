@@ -185,14 +185,21 @@ impl RrStore {
     /// this is the unbiased estimator of `spread / n` by the activation
     /// equivalence property.
     pub fn coverage_fraction(&self, seed_mark: &[bool]) -> f64 {
-        if self.is_empty() {
+        self.prefix_coverage_fraction(seed_mark, self.len())
+    }
+
+    /// [`RrStore::coverage_fraction`] over the first `sets` sets only —
+    /// equal to `self.prefix(sets).coverage_fraction(seed_mark)`, without
+    /// the copy.
+    pub(crate) fn prefix_coverage_fraction(&self, seed_mark: &[bool], sets: usize) -> f64 {
+        let sets = sets.min(self.len());
+        if sets == 0 {
             return 0.0;
         }
-        let covered = self
-            .iter()
-            .filter(|set| set.iter().any(|v| seed_mark[v.index()]))
+        let covered = (0..sets)
+            .filter(|&i| self.set(i).iter().any(|v| seed_mark[v.index()]))
             .count();
-        covered as f64 / self.len() as f64
+        covered as f64 / sets as f64
     }
 }
 

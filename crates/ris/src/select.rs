@@ -16,28 +16,33 @@
 //!   **byte-identical** by construction and by test.
 //! * [`SeedSelector`] — interchangeable max-coverage strategies sharing the
 //!   index: [`NaiveGreedy`], an exhaustive-rescan oracle, and
-//!   [`CelfGreedy`], a CELF lazy-greedy over a max-heap of stale marginal
-//!   counts with partitioned parallel coverage-invalidation sweeps.
-//! * the [`crate::simd`] kernels the selectors' hot loops run on: covered
-//!   sets live in a word-array bitset, marginal-gain counting is a
-//!   (gather-)vectorized scan, and nodes whose membership degree clears
-//!   [`hot_threshold`] are represented as RR-membership **bitsets**, so
-//!   their invalidation becomes popcount-over-words instead of scattered
-//!   per-member decrements.
+//!   [`CelfGreedy`], classic CELF lazy evaluation over a max-heap of stale
+//!   marginal gains. Both run single-threaded: a pick only sets bits in a
+//!   covered-set bitset, and a gain is recounted only when its node
+//!   reaches the heap head.
+//! * the [`crate::simd`] marginal-gain kernel the selectors' probes run
+//!   on: a node's gain is the number of its index run's set ids whose bit
+//!   in the covered bitset is clear, a (gather-)vectorized scan.
+//!
+//! Both selectors also take a **set-id bound** `b` (`select_below`): they
+//! then see only sets `0..b`, reading each node's run up to the first id
+//! `>= b`. The answer equals a selection over an index built from
+//! `store.prefix(b)`, so a per-query sketch budget is served from the
+//! resident index with no copy.
 //!
 //! # Determinism contract
 //!
 //! Selection is **bit-for-bit deterministic and independent of thread
 //! count and SIMD mode**: the index is an exact structure (parallel and
 //! fused builds produce byte-identical arrays), marginal gains are exact
-//! integers (swept or popcounted), and ties are broken by the *smallest
-//! node id* among maximum-gain candidates. Because the marginal coverage
-//! objective is monotone and submodular (a stale cached gain is an upper
-//! bound on the fresh gain), CELF's lazy-forward rule selects exactly the
-//! same argmax sequence as the exhaustive oracle, so **every selector, at
-//! every thread count, in every SIMD mode, returns the identical seed
-//! set** on the same store — the contract the cross-selector tests, the
-//! SIMD ≡ scalar proptests, and the CI bench smoke enforce.
+//! integers, and ties are broken by the *smallest node id* among
+//! maximum-gain candidates. Because the marginal coverage objective is
+//! monotone and submodular (a stale cached gain is an upper bound on the
+//! fresh gain), CELF's lazy-forward rule selects exactly the same argmax
+//! sequence as the exhaustive oracle, so **every selector, in every SIMD
+//! mode, returns the identical seed set** on the same store — the contract
+//! the cross-selector tests, the SIMD ≡ scalar proptests, and the CI bench
+//! smoke enforce.
 
 use crate::parallel::resolve_threads;
 use crate::rr::RrStore;
@@ -373,6 +378,16 @@ impl CoverageIndex {
         &self.sets[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
     }
 
+    /// Ids of the sets containing `v` that are `< bound`, ascending — the
+    /// node's run in an index over the store's first `bound` sets.
+    pub(crate) fn sets_below(&self, v: NodeId, bound: usize) -> &[u32] {
+        let run = self.sets_containing(v);
+        if bound >= self.num_sets {
+            return run;
+        }
+        &run[..run.partition_point(|&s| (s as usize) < bound)]
+    }
+
     /// Number of sets containing `v` (the node's initial marginal gain).
     pub fn count(&self, v: NodeId) -> u32 {
         (self.offsets[v.index() + 1] - self.offsets[v.index()]) as u32
@@ -471,29 +486,6 @@ fn partition_nodes(offsets: &[u64], parts: usize) -> Vec<usize> {
     bounds
 }
 
-/// Below this many sets the hot-node bitset machinery is all overhead: a
-/// full scan of such a store is a few cache lines.
-const HOT_MIN_SETS: usize = 256;
-/// A node is *hot* when it appears in at least `num_sets / DIVISOR` sets;
-/// the divisor bounds total bitset memory at `DIVISOR × avg-set-size`
-/// nodes × `num_sets / 8` bytes.
-const HOT_DEGREE_DIVISOR: usize = 16;
-/// Floor on the hot threshold so tiny stores near [`HOT_MIN_SETS`] don't
-/// classify half their nodes hot.
-const HOT_MIN_COUNT: u32 = 48;
-
-/// Membership-count threshold above which a node gets a word-parallel
-/// RR-membership bitset in [`CelfGreedy`] (invalidation by
-/// popcount-over-words instead of per-member decrements), or `None` when
-/// the store is too small for the representation to pay
-/// (`num_sets <` [`HOT_MIN_SETS`]).
-pub fn hot_threshold(num_sets: usize) -> Option<u32> {
-    if num_sets < HOT_MIN_SETS {
-        return None;
-    }
-    Some(((num_sets / HOT_DEGREE_DIVISOR) as u32).max(HOT_MIN_COUNT))
-}
-
 /// A max-coverage seed-selection strategy over a prebuilt [`CoverageIndex`].
 ///
 /// Implementations must obey the module-level determinism contract: for the
@@ -530,8 +522,21 @@ impl NaiveGreedy {
         k: usize,
         mode: SimdMode,
     ) -> CoverageResult {
+        debug_assert_eq!(index.num_sets(), store.len());
+        self.select_below(index, index.num_sets(), k, mode)
+    }
+
+    /// Selection over the sets with id `< bound` only — see
+    /// [`CelfGreedy::select_below`].
+    pub fn select_below(
+        &self,
+        index: &CoverageIndex,
+        bound: usize,
+        k: usize,
+        mode: SimdMode,
+    ) -> CoverageResult {
         let n = index.num_nodes();
-        let mut covered_bits = vec![0u64; simd::words_for(store.len())];
+        let mut covered_bits = vec![0u64; simd::words_for(bound.min(index.num_sets()))];
         let mut picked = vec![false; n];
         let mut seeds = Vec::with_capacity(k.min(n));
         let mut marginals = Vec::with_capacity(k.min(n));
@@ -542,11 +547,8 @@ impl NaiveGreedy {
                 if is_picked {
                     continue;
                 }
-                let gain = simd::count_uncovered(
-                    mode,
-                    index.sets_containing(NodeId(v as u32)),
-                    &covered_bits,
-                );
+                let run = index.sets_below(NodeId(v as u32), bound);
+                let gain = simd::count_uncovered(mode, run, &covered_bits);
                 // Strict `>` over ascending ids = smallest id wins ties.
                 if best.is_none_or(|(bg, _)| gain > bg) {
                     best = Some((gain, v));
@@ -557,7 +559,7 @@ impl NaiveGreedy {
             seeds.push(NodeId(v as u32));
             marginals.push(gain);
             covered += gain;
-            for &s in index.sets_containing(NodeId(v as u32)) {
+            for &s in index.sets_below(NodeId(v as u32), bound) {
                 simd::set_bit(&mut covered_bits, s as usize);
             }
         }
@@ -579,81 +581,25 @@ impl SeedSelector for NaiveGreedy {
     }
 }
 
-/// Invalidation sweeps below this many member touches run inline; above it
-/// they are partitioned across the selector's worker threads. Each
-/// partitioned sweep pays one scoped spawn+join per worker (~hundreds of
-/// microseconds total), so the threshold sits high enough that the inline
-/// work it replaces clearly dominates that overhead.
-const PARALLEL_SWEEP_MIN_WORK: u64 = 1 << 17;
-
-/// Set-major member lists sorted ascending by node id — the transpose of
-/// the [`CoverageIndex`] back to set order, materialized once per
-/// [`CelfGreedy`] run (threads > 1 only) so each invalidation-sweep worker
-/// can binary-search the segment of a set that falls inside its node range
-/// and touch nothing else. Built in O(total members) by walking the index
-/// node-ascending (no per-set sort needed).
-struct SweepStore {
-    offsets: Vec<u64>,
-    members: Vec<u32>,
-}
-
-impl SweepStore {
-    fn build(index: &CoverageIndex, store: &RrStore) -> SweepStore {
-        let mut offsets = vec![0u64; store.len() + 1];
-        for i in 0..store.len() {
-            offsets[i + 1] = offsets[i] + store.set(i).len() as u64;
-        }
-        let mut cursor: Vec<u64> = offsets[..store.len()].to_vec();
-        let mut members = vec![0u32; store.total_members() as usize];
-        for v in 0..index.num_nodes() as u32 {
-            for &s in index.sets_containing(NodeId(v)) {
-                members[cursor[s as usize] as usize] = v;
-                cursor[s as usize] += 1;
-            }
-        }
-        SweepStore { offsets, members }
-    }
-
-    fn set(&self, s: usize) -> &[u32] {
-        &self.members[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-    }
-}
-
 /// CELF lazy-greedy max coverage.
 ///
-/// A max-heap caches each candidate's marginal gain; a popped entry whose
-/// cache is stale (gains only shrink under submodularity) is re-pushed with
-/// its live gain, so each round touches only the few heads that changed.
-/// Live gains come from two representations:
+/// A max-heap keyed on `(cached gain, smallest id)` holds every unpicked
+/// node with the round its gain was last computed in. Covering only ever
+/// shrinks a gain (submodularity), so a cached gain is an upper bound on
+/// the live one. Each round pops the head:
 ///
-/// * **cold nodes** (membership below [`hot_threshold`]) keep an exact
-///   integer in the `gain` array, maintained by the *coverage-invalidation
-///   sweep* after each pick — marking the pick's uncovered sets covered
-///   and decrementing every cold member's live gain. When the sweep is
-///   large it is partitioned by node range across `threads` workers, each
-///   owning a disjoint slice of the gain array and binary-searching its
-///   node range inside node-sorted per-set member lists (a [`SweepStore`]
-///   built once per run). Exact integer decrements commute, so the result
-///   is thread-count independent.
-/// * **hot nodes** carry a word-parallel RR-membership bitset instead:
-///   sweeps skip them entirely (their scattered decrements are the
-///   cache-hostile part of a sweep), and their live gain is recomputed on
-///   pop as `popcount(membership & !covered)` over the
-///   [`crate::simd`] kernels — exact, and O(θ/64) words per probe.
+/// * if its gain was computed this round it is exact and the maximum, so
+///   the node is picked without probing again;
+/// * otherwise its live gain is probed — [`simd::count_uncovered`] over its
+///   index run against the covered-set bitset — and the node is picked if
+///   the gain did not drop, or re-pushed with the fresh gain if it did.
 ///
-/// Both representations are exact at the moment they are read, so the
-/// selection is byte-identical to an all-cold, all-scalar run.
-#[derive(Clone, Copy, Debug)]
-pub struct CelfGreedy {
-    /// Worker threads for invalidation sweeps (`0` = one per core).
-    pub threads: usize,
-}
-
-impl Default for CelfGreedy {
-    fn default() -> Self {
-        CelfGreedy { threads: 1 }
-    }
-}
+/// Picking a seed only sets its sets' bits in the bitset; no other node's
+/// gain is touched until it reaches the heap head. Gains are exact integers
+/// and ties go to the smallest id, so the result is byte-identical to
+/// [`NaiveGreedy`] in every SIMD mode.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CelfGreedy;
 
 impl CelfGreedy {
     /// [`SeedSelector::select`] with an explicit SIMD mode (benches and
@@ -665,111 +611,55 @@ impl CelfGreedy {
         k: usize,
         mode: SimdMode,
     ) -> CoverageResult {
+        debug_assert_eq!(index.num_sets(), store.len());
+        self.select_below(index, index.num_sets(), k, mode)
+    }
+
+    /// Selection over the sets with id `< bound` only: the same answer as
+    /// selecting over an index built from the store's first `bound` sets,
+    /// read off the full index (each node's run is ascending, so its
+    /// bounded run is a prefix of it). This is how a per-query sketch
+    /// budget is served from a resident index.
+    pub fn select_below(
+        &self,
+        index: &CoverageIndex,
+        bound: usize,
+        k: usize,
+        mode: SimdMode,
+    ) -> CoverageResult {
         let n = index.num_nodes();
-        let num_sets = store.len();
-        let threads = resolve_threads(self.threads).min(n.max(1)).max(1);
-        let mut gain: Vec<u32> = (0..n).map(|v| index.count(NodeId(v as u32))).collect();
-        let words = simd::words_for(num_sets);
-        let mut covered_bits = vec![0u64; words];
-        let mut picked = vec![false; n];
-
-        // Hot nodes: membership bitsets for everything above the degree
-        // threshold, so their invalidation is popcount-over-words. Built
-        // from the index's ascending runs (sequential bit sets).
-        let mut hot_slot = vec![u32::MAX; n];
-        let mut hot_bits: Vec<Vec<u64>> = Vec::new();
-        if let Some(th) = hot_threshold(num_sets) {
-            for v in 0..n {
-                if gain[v] >= th {
-                    let mut bits = vec![0u64; words];
-                    for &s in index.sets_containing(NodeId(v as u32)) {
-                        simd::set_bit(&mut bits, s as usize);
-                    }
-                    hot_slot[v] = hot_bits.len() as u32;
-                    hot_bits.push(bits);
-                }
-            }
-        }
-        let hot: Vec<bool> = hot_slot.iter().map(|&s| s != u32::MAX).collect();
-
-        // Max-heap on (cached gain, Reverse(node id)): among equal cached
-        // gains the smallest id pops first, matching NaiveGreedy's rule.
-        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..n as u32)
-            .map(|v| (gain[v as usize], Reverse(v)))
-            .collect();
-        let bounds = if threads > 1 {
-            partition_nodes(&index.offsets, threads)
-        } else {
-            Vec::new()
-        };
-        // The node-sorted transpose costs O(total members); build it lazily
-        // on the first sweep heavy enough for the parallel path, so sparse
-        // stores whose sweeps all run inline never pay for it.
-        let mut sweep_store: Option<SweepStore> = None;
-
+        let mut covered_bits = vec![0u64; simd::words_for(bound.min(index.num_sets()))];
+        // Max-heap on (cached gain, Reverse(node id), round computed in):
+        // among equal cached gains the smallest id pops first, matching
+        // NaiveGreedy's rule. Ids are unique, so the round never orders.
+        // Round-0 gains are the run lengths, exact with nothing covered.
+        let run_len = |v: u32| index.sets_below(NodeId(v), bound).len() as u32;
+        let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> =
+            (0..n as u32).map(|v| (run_len(v), Reverse(v), 0)).collect();
         let mut seeds = Vec::with_capacity(k.min(n));
         let mut marginals = Vec::with_capacity(k.min(n));
         let mut covered = 0u64;
-        let mut newly: Vec<u32> = Vec::new();
 
         while seeds.len() < k {
-            let Some((cached, Reverse(v))) = heap.pop() else {
+            let Some((cached, Reverse(v), round)) = heap.pop() else {
                 break;
             };
-            let vi = v as usize;
-            if picked[vi] {
-                continue;
-            }
-            // Live gain: swept integer for cold nodes, popcount over the
-            // membership bitset for hot ones — both exact right now.
-            let current = if hot[vi] {
-                simd::popcount_and_not(mode, &hot_bits[hot_slot[vi] as usize], &covered_bits) as u32
+            let now = seeds.len() as u32;
+            let run = index.sets_below(NodeId(v), bound);
+            let gain = if round == now {
+                cached
             } else {
-                gain[vi]
+                simd::count_uncovered(mode, run, &covered_bits) as u32
             };
-            if cached > current {
-                heap.push((current, Reverse(v)));
+            if gain < cached {
+                heap.push((gain, Reverse(v), now));
                 continue;
             }
-            // Fresh maximum (smallest id among ties): pick it.
-            picked[vi] = true;
             seeds.push(NodeId(v));
-            marginals.push(current as u64);
-            covered += current as u64;
-            newly.clear();
-            if hot[vi] {
-                // Newly covered = membership & !covered, read off the words
-                // (ascending, matching the scalar path's order); then the
-                // union is one vectorized OR.
-                let bits = &hot_bits[hot_slot[vi] as usize];
-                for (w, (&bw, &cw)) in bits.iter().zip(covered_bits.iter()).enumerate() {
-                    let mut fresh = bw & !cw;
-                    while fresh != 0 {
-                        newly.push((w as u32) * 64 + fresh.trailing_zeros());
-                        fresh &= fresh - 1;
-                    }
-                }
-                simd::or_assign(mode, &mut covered_bits, bits);
-            } else {
-                for &s in index.sets_containing(NodeId(v)) {
-                    if !simd::test_bit(&covered_bits, s as usize) {
-                        simd::set_bit(&mut covered_bits, s as usize);
-                        newly.push(s);
-                    }
-                }
-            }
-            let work: u64 = newly
-                .iter()
-                .map(|&s| store.set(s as usize).len() as u64)
-                .sum();
-            if bounds.len() > 2 && work >= PARALLEL_SWEEP_MIN_WORK {
-                let sorted = sweep_store.get_or_insert_with(|| SweepStore::build(index, store));
-                sweep_parallel(&mut gain, &newly, sorted, &bounds, &hot);
-            } else {
-                sweep_inline(&mut gain, &newly, store, &hot);
-            }
-            if !hot[vi] {
-                debug_assert_eq!(gain[vi], 0);
+            marginals.push(gain as u64);
+            covered += gain as u64;
+            for &s in run {
+                simd::set_bit(&mut covered_bits, s as usize);
             }
         }
 
@@ -788,59 +678,6 @@ impl SeedSelector for CelfGreedy {
 
     fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
         self.select_with(index, store, k, simd::active())
-    }
-}
-
-/// Partitioned parallel invalidation sweep: decrement the live gain of
-/// every **cold** member of the newly covered sets (hot nodes carry
-/// bitsets and are skipped — their gain is popcounted on demand).
-///
-/// The sweep fans out over scoped workers along the node-range `bounds`
-/// (from [`partition_nodes`]): each owns one disjoint sub-slice of `gain`
-/// and binary-searches its node range inside every newly covered set's
-/// node-sorted member list, so it reads and writes only its own segment.
-/// Every cold member entry is applied exactly once — same as
-/// [`sweep_inline`] — so the resulting gain array is identical regardless
-/// of threading.
-fn sweep_parallel(
-    gain: &mut [u32],
-    newly: &[u32],
-    sorted: &SweepStore,
-    bounds: &[usize],
-    hot: &[bool],
-) {
-    std::thread::scope(|scope| {
-        let mut rest: &mut [u32] = gain;
-        let mut consumed = 0usize;
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let (mine, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            debug_assert_eq!(consumed, lo);
-            consumed = hi;
-            scope.spawn(move || {
-                for &s in newly {
-                    let mem = sorted.set(s as usize);
-                    let a = mem.partition_point(|&x| (x as usize) < lo);
-                    let b = a + mem[a..].partition_point(|&x| (x as usize) < hi);
-                    for &x in &mem[a..b] {
-                        if !hot[x as usize] {
-                            mine[x as usize - lo] -= 1;
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
-fn sweep_inline(gain: &mut [u32], newly: &[u32], store: &RrStore, hot: &[bool]) {
-    for &s in newly {
-        for &w in store.set(s as usize) {
-            if !hot[w.index()] {
-                gain[w.index()] -= 1;
-            }
-        }
     }
 }
 
@@ -870,21 +707,13 @@ impl SelectorKind {
     pub fn name(self) -> &'static str {
         match self {
             SelectorKind::NaiveGreedy => NaiveGreedy.name(),
-            SelectorKind::Celf => CelfGreedy::default().name(),
+            SelectorKind::Celf => CelfGreedy.name(),
         }
     }
 
-    /// Run the chosen selector (`threads` only affects [`CelfGreedy`]'s
-    /// invalidation sweeps; results are thread-count independent) on the
-    /// ambient [`simd::active`] kernels.
-    pub fn select(
-        self,
-        index: &CoverageIndex,
-        store: &RrStore,
-        k: usize,
-        threads: usize,
-    ) -> CoverageResult {
-        self.select_mode(index, store, k, threads, simd::active())
+    /// Run the chosen selector on the ambient [`simd::active`] kernels.
+    pub fn select(self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
+        self.select_mode(index, store, k, simd::active())
     }
 
     /// [`SelectorKind::select`] with an explicit SIMD mode.
@@ -893,12 +722,24 @@ impl SelectorKind {
         index: &CoverageIndex,
         store: &RrStore,
         k: usize,
-        threads: usize,
+        mode: SimdMode,
+    ) -> CoverageResult {
+        debug_assert_eq!(index.num_sets(), store.len());
+        self.select_below(index, index.num_sets(), k, mode)
+    }
+
+    /// Run the chosen selector over the sets with id `< bound` only (see
+    /// [`CelfGreedy::select_below`]).
+    pub fn select_below(
+        self,
+        index: &CoverageIndex,
+        bound: usize,
+        k: usize,
         mode: SimdMode,
     ) -> CoverageResult {
         match self {
-            SelectorKind::NaiveGreedy => NaiveGreedy.select_with(index, store, k, mode),
-            SelectorKind::Celf => CelfGreedy { threads }.select_with(index, store, k, mode),
+            SelectorKind::NaiveGreedy => NaiveGreedy.select_below(index, bound, k, mode),
+            SelectorKind::Celf => CelfGreedy.select_below(index, bound, k, mode),
         }
     }
 }
@@ -1068,7 +909,7 @@ mod tests {
         let index = CoverageIndex::build(&store, 0, 4);
         assert_eq!(index.num_nodes(), 0);
         assert_eq!(index.total_entries(), 0);
-        let r = CelfGreedy { threads: 4 }.select(&index, &store, 3);
+        let r = CelfGreedy.select(&index, &store, 3);
         assert!(r.seeds.is_empty());
         assert_eq!(r.covered, 0);
         let r = NaiveGreedy.select(&index, &store, 3);
@@ -1081,55 +922,85 @@ mod tests {
         let (store, n) = store_from(&[&[1, 3], &[2, 3], &[1], &[2]]);
         let index = CoverageIndex::build(&store, n, 1);
         let naive = NaiveGreedy.select(&index, &store, 2);
-        let celf = CelfGreedy { threads: 1 }.select(&index, &store, 2);
+        let celf = CelfGreedy.select(&index, &store, 2);
         assert_eq!(naive, celf);
         assert_eq!(naive.seeds[0], NodeId(1), "smallest id wins the tie");
     }
 
     #[test]
-    fn celf_matches_naive_on_random_stores_across_threads_and_modes() {
+    fn celf_matches_naive_on_random_stores_across_modes() {
         for trial in 0..10 {
             let store = random_store(100 + trial, 30, 400, 5);
             let index = CoverageIndex::build(&store, 30, 2);
             let naive = NaiveGreedy.select_with(&index, &store, 6, SimdMode::Scalar);
-            for threads in [1, 3] {
-                for mode in modes() {
-                    let celf = CelfGreedy { threads }.select_with(&index, &store, 6, mode);
-                    assert_eq!(naive, celf, "trial {trial} threads {threads} {mode:?}");
+            for mode in modes() {
+                let celf = CelfGreedy.select_with(&index, &store, 6, mode);
+                assert_eq!(naive, celf, "trial {trial} {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_selection_matches_an_index_over_the_prefix() {
+        // A set-id bound on the full index must answer exactly what an
+        // index built from `store.prefix(b)` answers, for both selectors,
+        // every k shape and every bound shape, in every SIMD mode.
+        for trial in 0..6u64 {
+            let n = 20usize;
+            let store = random_store(300 + trial, n as u32, 150 + 37 * trial as usize, 6);
+            let index = CoverageIndex::build(&store, n, 1);
+            let len = store.len();
+            for bound in [0, 1, len / 2, len - 1, len, len + 7] {
+                let cut = store.prefix(bound);
+                let cut_index = CoverageIndex::build(&cut, n, 1);
+                for k in [1, 6, n + 5] {
+                    let oracle = NaiveGreedy.select_with(&cut_index, &cut, k, SimdMode::Scalar);
+                    for mode in modes() {
+                        for kind in [SelectorKind::Celf, SelectorKind::NaiveGreedy] {
+                            assert_eq!(
+                                kind.select_below(&index, bound, k, mode),
+                                oracle,
+                                "trial {trial} bound {bound} k {k} {kind:?} {mode:?}"
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn hot_threshold_kicks_in_only_past_min_sets() {
-        assert_eq!(hot_threshold(0), None);
-        assert_eq!(hot_threshold(HOT_MIN_SETS - 1), None);
-        let th = hot_threshold(HOT_MIN_SETS).expect("past the floor");
-        assert!(th >= HOT_MIN_COUNT);
-        assert_eq!(
-            hot_threshold(1 << 20),
-            Some(((1usize << 20) / HOT_DEGREE_DIVISOR) as u32)
-        );
+    fn sets_below_is_the_ascending_prefix_of_each_run() {
+        let store = random_store(12, 15, 200, 5);
+        let index = CoverageIndex::build(&store, 15, 1);
+        for v in 0..15u32 {
+            let run = index.sets_containing(NodeId(v));
+            for bound in [0usize, 1, 77, 199, 200, 500] {
+                let below = index.sets_below(NodeId(v), bound);
+                let expect: Vec<u32> = run
+                    .iter()
+                    .copied()
+                    .filter(|&s| (s as usize) < bound)
+                    .collect();
+                assert_eq!(below, &expect[..], "node {v} bound {bound}");
+            }
+        }
     }
 
     #[test]
-    fn hot_node_path_matches_oracle_straddling_the_threshold() {
-        // A store big enough for the hot machinery (>= HOT_MIN_SETS), with
-        // node 0 comfortably hot, node 1 exactly at the threshold, node 2
-        // exactly one below — plus random filler. Every selector/mode must
-        // agree with the all-cold oracle on the exact same seeds.
-        let num_sets = HOT_MIN_SETS * 2;
-        let th = hot_threshold(num_sets).expect("large store") as usize;
+    fn hub_store_matches_oracle_across_modes() {
+        // A hub store: node 0 in 96 sets, node 1 in exactly 32, node 2 in
+        // exactly 31, plus random filler, so cached gains of the runners-up
+        // sit one apart. CELF must agree with the naive oracle in every
+        // mode.
+        let num_sets = 512;
+        let th = 32;
         let mut rng = SmallRng::seed_from_u64(77);
         let mut store = RrStore::new();
         for i in 0..num_sets {
             let mut members: Vec<NodeId> = Vec::new();
             if i < th * 3 {
-                members.push(NodeId(0)); // way past the threshold
-            }
-            if i % 2 == 0 && members.len() * 2 < th * 2 {
-                // placeholder, replaced below by exact-count loops
+                members.push(NodeId(0));
             }
             let filler = NodeId(3 + rng.random_range(0..20u32));
             if !members.contains(&filler) {
@@ -1137,8 +1008,6 @@ mod tests {
             }
             store.push_with_width(&members, 0);
         }
-        // Give node 1 exactly `th` memberships and node 2 exactly `th - 1`
-        // by appending dedicated sets.
         for i in 0..th {
             store.push_with_width(&[NodeId(1)], 0);
             if i + 1 < th {
@@ -1147,26 +1016,26 @@ mod tests {
         }
         let n = 23usize;
         let index = CoverageIndex::build(&store, n, 1);
-        let total = store.len();
-        let th_now = hot_threshold(total).expect("still large");
-        assert!(index.count(NodeId(0)) >= th_now, "node 0 must be hot");
+        assert_eq!(index.count(NodeId(1)), th as u32);
+        assert_eq!(index.count(NodeId(2)), th as u32 - 1);
         let naive = NaiveGreedy.select_with(&index, &store, 8, SimdMode::Scalar);
         for mode in modes() {
-            for threads in [1, 4] {
-                let celf = CelfGreedy { threads }.select_with(&index, &store, 8, mode);
-                assert_eq!(naive, celf, "{mode:?} threads {threads}");
-            }
+            assert_eq!(
+                naive,
+                CelfGreedy.select_with(&index, &store, 8, mode),
+                "{mode:?}"
+            );
         }
     }
 
     #[test]
     fn marginals_match_per_set_recounts_after_invalidation() {
-        // After each pick the invalidation sweep must leave gains equal to
-        // a from-scratch recount: the reported marginal of pick i equals
-        // the number of sets containing seed i and none of seeds 0..i.
+        // Lazily recounted gains must equal a from-scratch recount: the
+        // reported marginal of pick i equals the number of sets containing
+        // seed i and none of seeds 0..i.
         let store = random_store(7, 20, 250, 5);
         let index = CoverageIndex::build(&store, 20, 1);
-        let r = CelfGreedy { threads: 1 }.select(&index, &store, 8);
+        let r = CelfGreedy.select(&index, &store, 8);
         for (i, (&seed, &marginal)) in r.seeds.iter().zip(&r.marginals).enumerate() {
             let recount = (0..store.len())
                 .filter(|&s| {
@@ -1181,12 +1050,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_path_is_exercised_and_identical() {
-        // Big dense sets so a single pick invalidates > the inline
-        // threshold, forcing the partitioned sweep: the top node sits in
-        // roughly sets·density ≈ 800 sets of 200 members, ~160k member
-        // touches > PARALLEL_SWEEP_MIN_WORK. (Every node here is also far
-        // past the hot threshold, so this doubles as a hot-path stress.)
+    fn dense_store_celf_matches_naive_across_modes() {
+        // Big dense sets (1200 sets of 200 out of 300 nodes): every pick
+        // covers hundreds of sets and leaves most cached gains stale.
         let mut rng = SmallRng::seed_from_u64(9);
         let mut store = RrStore::new();
         let n = 300u32;
@@ -1206,30 +1072,13 @@ mod tests {
             store.push_with_width(&members, 0);
         }
         let index = CoverageIndex::build(&store, n as usize, 4);
-        let seq = CelfGreedy { threads: 1 }.select(&index, &store, 10);
-        let par = CelfGreedy { threads: 4 }.select(&index, &store, 10);
-        assert_eq!(seq, par);
-        assert_eq!(seq, NaiveGreedy.select(&index, &store, 10));
+        let naive = NaiveGreedy.select_with(&index, &store, 10, SimdMode::Scalar);
         for mode in modes() {
             assert_eq!(
-                seq,
-                CelfGreedy { threads: 4 }.select_with(&index, &store, 10, mode),
+                naive,
+                CelfGreedy.select_with(&index, &store, 10, mode),
                 "{mode:?}"
             );
-        }
-    }
-
-    #[test]
-    fn sweep_store_is_the_node_sorted_transpose() {
-        let store = random_store(11, 40, 300, 7);
-        let index = CoverageIndex::build(&store, 40, 1);
-        let sorted = SweepStore::build(&index, &store);
-        for s in 0..store.len() {
-            let mem = sorted.set(s);
-            assert!(mem.windows(2).all(|w| w[0] < w[1]), "set {s} not sorted");
-            let mut expect: Vec<u32> = store.set(s).iter().map(|v| v.0).collect();
-            expect.sort_unstable();
-            assert_eq!(mem, &expect[..], "set {s}");
         }
     }
 
@@ -1238,7 +1087,7 @@ mod tests {
         let (store, n) = store_from(&[&[0], &[0]]);
         let index = CoverageIndex::build(&store, n, 1);
         let naive = NaiveGreedy.select(&index, &store, n + 5);
-        let celf = CelfGreedy { threads: 1 }.select(&index, &store, n + 5);
+        let celf = CelfGreedy.select(&index, &store, n + 5);
         assert_eq!(naive, celf);
         assert_eq!(naive.covered, 2);
         assert!(naive.seeds.len() <= n);
@@ -1255,14 +1104,11 @@ mod tests {
         assert_eq!(SelectorKind::default(), SelectorKind::Celf);
         let (store, n) = store_from(&[&[0, 1], &[2]]);
         let index = CoverageIndex::build(&store, n, 1);
-        let a = SelectorKind::NaiveGreedy.select(&index, &store, 1, 1);
-        let b = SelectorKind::Celf.select(&index, &store, 1, 1);
+        let a = SelectorKind::NaiveGreedy.select(&index, &store, 1);
+        let b = SelectorKind::Celf.select(&index, &store, 1);
         assert_eq!(a, b);
         for mode in modes() {
-            assert_eq!(
-                SelectorKind::Celf.select_mode(&index, &store, 1, 1, mode),
-                a
-            );
+            assert_eq!(SelectorKind::Celf.select_mode(&index, &store, 1, mode), a);
         }
     }
 

@@ -33,8 +33,7 @@ pub struct TimConfig {
     /// (`0` = one per available core; default `1`). Results are
     /// deterministic for a fixed `(seed, threads)` pair. The borrowing
     /// [`general_tim`] entry point always samples on the calling thread
-    /// (only the coverage-index build and invalidation sweeps honor the
-    /// knob there).
+    /// (only the coverage-index build honors the knob there).
     pub threads: usize,
     /// Max-coverage strategy for the selection phase (default
     /// [`SelectorKind::Celf`]). Every selector returns identical seeds for

@@ -23,8 +23,10 @@ OPTIONS:
   --seed <u64>                   service seed (default: 0xC0111C)
   --gen-threads <n>              pool-generation workers; part of pool
                                  identity, fixed per instance (default: 2)
-  --threads <n>                  query-time selection workers; latency-only
-                                 knob (default: 2)
+  --threads <n>                  workers for a standalone coverage-index
+                                 build when a pool has no resident index;
+                                 selection itself is single-threaded;
+                                 latency-only knob (default: 2)
   --design-k <n>                 k the pools' theta derivation targets
                                  (default: 50)
   --max-rr <n|none>              sketch cap per pool (default: 200000)

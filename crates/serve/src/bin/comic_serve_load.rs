@@ -16,7 +16,9 @@
 //! `--validate <path>` re-checks an existing snapshot against its schema —
 //! `BENCH_serving.json` (`"bench": "serving"`) or the criterion driver's
 //! `BENCH_seed_selection.json` (`"bench": "seed_selection"`) — and exits
-//! nonzero on a mismatch (the CI smoke steps).
+//! nonzero on a mismatch (the CI smoke steps). A fault-free serving
+//! snapshot must also pass the selector ratio gate: warm CELF select at
+//! k = 10 no slower (p50) than warm naive select on the same pool.
 
 use comic_bench::datasets::{load_with, CacheMode};
 use comic_bench::metrics::{percentile, round3, OutcomeCounts};
@@ -24,6 +26,7 @@ use comic_graph::fasthash::splitmix64;
 use comic_graph::io::{graph_digest, read_binary_for_source, write_binary_with_source};
 use comic_graph::store;
 use comic_ris::ic_sampler::IcRrSampler;
+use comic_ris::parallel::resolve_threads;
 use comic_ris::select::SelectorKind;
 use comic_ris::tim::TimConfig;
 use comic_ris::RisPipeline;
@@ -54,7 +57,9 @@ OPTIONS:
                            (default: none)
   --faults <spec>          deterministic fault plan, e.g.
                            'seed=7,query-delay=0.1@20' (default: none)
-  --validate <path>        schema-check an existing snapshot; write nothing
+  --validate <path>        schema-check an existing snapshot (and, for a
+                           fault-free serving snapshot, gate warm CELF
+                           p50 <= warm naive p50); write nothing
   -h, --help               this help
 ";
 
@@ -321,7 +326,13 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
     expect_str("pool")?;
     expect_str("caveat")?;
     expect_str("faults")?;
-    for f in ["gen_threads", "threads", "design_k", "sketches"] {
+    for f in [
+        "host_cores",
+        "gen_threads",
+        "threads",
+        "design_k",
+        "sketches",
+    ] {
         expect_num(f)?;
     }
     let classes = v
@@ -346,7 +357,11 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
             }
         }
     }
-    for required in ["warm_select_k10", "cold_pipeline_k10"] {
+    for required in [
+        "warm_select_k10",
+        "warm_select_k10_naive",
+        "cold_pipeline_k10",
+    ] {
         if !names.iter().any(|n| n == required) {
             return Err(format!("required class {required:?} is absent"));
         }
@@ -376,6 +391,39 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
             }
         }
     }
+    Ok(())
+}
+
+/// The selector ratio gate over a serving snapshot: warm CELF at k = 10
+/// must not be slower (p50) than warm naive greedy at k = 10 on the same
+/// pool and thread settings. A ratio of two classes from one run, so it
+/// holds on any host speed. Snapshots recorded under a fault plan are
+/// exempt — injected delays land on arbitrary queries — as are other
+/// snapshot kinds.
+fn selector_ratio_gate(v: &Json) -> Result<(), String> {
+    if v.get("bench").and_then(Json::as_str) != Some("serving")
+        || v.get("faults").and_then(Json::as_str) != Some("")
+    {
+        return Ok(());
+    }
+    let p50 = |name: &str| {
+        v.get("classes")
+            .and_then(Json::as_arr)
+            .and_then(|cs| {
+                cs.iter()
+                    .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
+            })
+            .and_then(|c| c.get("p50_ms"))
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("class {name:?} has no p50_ms"))
+    };
+    let (celf, naive) = (p50("warm_select_k10")?, p50("warm_select_k10_naive")?);
+    if celf > naive {
+        return Err(format!(
+            "warm_select_k10 p50 {celf} ms exceeds warm_select_k10_naive p50 {naive} ms"
+        ));
+    }
+    println!("comic-serve-load: warm CELF p50 {celf} ms <= warm naive p50 {naive} ms");
     Ok(())
 }
 
@@ -441,13 +489,14 @@ fn main() -> ExitCode {
             Ok(v) => v,
             Err(e) => return fail(&format!("{path}: not valid JSON: {e}")),
         };
-        return match validate_schema(&v) {
-            Ok(()) => {
-                println!("comic-serve-load: {path} matches the snapshot schema");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(&format!("{path}: schema violation: {e}")),
-        };
+        if let Err(e) = validate_schema(&v) {
+            return fail(&format!("{path}: schema violation: {e}"));
+        }
+        println!("comic-serve-load: {path} matches the snapshot schema");
+        if let Err(e) = selector_ratio_gate(&v) {
+            return fail(&format!("{path}: ratio gate: {e}"));
+        }
+        return ExitCode::SUCCESS;
     }
 
     let faults = match FaultPlan::parse(&fault_spec) {
@@ -574,6 +623,7 @@ fn main() -> ExitCode {
         ("bench", build::str("serving")),
         ("dataset", build::str(&*dataset)),
         ("quick", Json::Bool(quick)),
+        ("host_cores", build::num_u64(resolve_threads(0) as u64)),
         ("gen_threads", build::num_u64(gen_threads as u64)),
         ("threads", build::num_u64(threads as u64)),
         ("design_k", build::num_u64(design_k as u64)),
@@ -602,8 +652,8 @@ fn main() -> ExitCode {
         (
             "caveat",
             build::str(
-                "measured in a 1-core container: absolute latencies and qps are \
-                 indicative only; the warm-vs-cold ratio is the signal",
+                "absolute latencies and qps depend on the host (see host_cores); \
+                 the warm-vs-cold and CELF-vs-naive ratios are the signal",
             ),
         ),
     ]);

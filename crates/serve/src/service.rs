@@ -12,15 +12,17 @@
 //!   [`comic_ris::parallel`] reproducibility contract — where the pool seed
 //!   is derived from the service seed, the pool key, and the refresh
 //!   generation, and `gen_threads` is part of the service config;
-//! - seed *selection* over a fixed store is thread-count invariant
-//!   ([`comic_ris::select`]), so [`ServeConfig::threads`] — the per-query
-//!   worker count — is purely a latency knob;
+//! - seed *selection* over a fixed store is single-threaded and exact
+//!   ([`comic_ris::select`]), and [`ServeConfig::threads`] only sizes a
+//!   standalone index build, which is byte-identical at every thread
+//!   count;
 //! - responses carry no wall-clock fields. Timing lives only in the
 //!   `stats` op ([`Response::Stats`]), which is exempt from the contract.
 //!
-//! The warm path never samples: a `select` is an index build plus a greedy
-//! sweep over resident sketches ([`comic_ris::RisPipeline::run_on_pool`]),
-//! an `estimate` a coverage count ([`SketchPool::estimate_spread`]). The
+//! The warm path never samples: a `select` is a lazy greedy over the
+//! pool's resident coverage index ([`comic_ris::RisPipeline::run_on_prefix`]),
+//! an `estimate` a coverage count ([`SketchPool::estimate_spread_prefix`]);
+//! a per-query budget only bounds the set ids both read, copying nothing. The
 //! [`ComicService::pool_builds`] counter makes "no regeneration" observable:
 //! it moves only on startup warming and explicit/background refresh.
 
@@ -62,8 +64,11 @@ pub struct ServeConfig {
     /// `(seed, threads)` reproducibility contract), so it is fixed per
     /// service instance, never per query.
     pub gen_threads: usize,
-    /// Worker threads for query-time selection — thread-invariant, so this
-    /// is a pure latency knob.
+    /// Worker threads for building a standalone coverage index when a
+    /// queried pool carries no resident one (pools the service generates
+    /// or reloads always do). Selection itself runs on the query thread;
+    /// the index build is byte-identical at every thread count, so this is
+    /// a pure latency knob.
     pub threads: usize,
     /// The `k` pool θ derivation targets (queries with `k` ≤ this keep the
     /// approximation guarantee; see [`comic_ris::pool`]).
@@ -1223,14 +1228,14 @@ impl ComicService {
             Err(resp) => return resp,
         };
         routed.counter.fetch_add(1, Ordering::SeqCst);
-        let effective = apply_budget(&routed.pool, routed.budget);
+        let consulted = budgeted_len(&routed.pool, routed.budget);
         let selector = selector.unwrap_or(SelectorKind::Celf);
         let tc = TimConfig::new(k)
             .selector(selector)
             .threads(self.cfg.threads);
-        // Warm path: selection only, zero sampling (the pipeline consumes
-        // the resident pool).
-        let r = match RisPipeline::new(tc).run_on_pool(&effective) {
+        // Warm path: selection only, zero sampling — a budget only bounds
+        // the set ids read from the resident index.
+        let r = match RisPipeline::new(tc).run_on_prefix(&routed.pool, consulted) {
             Ok(r) => r,
             Err(e) => {
                 return Response::Error {
@@ -1243,13 +1248,13 @@ impl ComicService {
             return resp;
         }
         let mut meta = meta_of(&routed.key, &routed.pool);
-        meta.capped = effective.capped();
+        meta.capped = r.capped;
         let (degraded, degrade_reason) = degrade_info(routed.stale, routed.deadline_limited);
         Response::Selected {
             pool: meta,
             k: k as u64,
             selector,
-            consulted: effective.len() as u64,
+            consulted: consulted as u64,
             seeds: r.seeds.iter().map(|s| s.0).collect(),
             covered: r.covered,
             est_spread: r.est_spread,
@@ -1278,19 +1283,19 @@ impl ComicService {
                 message: format!("seed {bad} out of range for a {n}-node graph"),
             };
         }
-        let effective = apply_budget(&routed.pool, routed.budget);
+        let consulted = budgeted_len(&routed.pool, routed.budget);
         let nodes: Vec<NodeId> = seeds.iter().map(|&s| NodeId(s)).collect();
-        let est = effective.estimate_spread(&nodes);
+        let est = routed.pool.estimate_spread_prefix(&nodes, consulted);
         if let Some(resp) = self.deadline_blown(ctx) {
             return resp;
         }
         let mut meta = meta_of(&routed.key, &routed.pool);
-        meta.capped = effective.capped();
+        meta.capped = routed.pool.capped_at(consulted);
         let (degraded, degrade_reason) = degrade_info(routed.stale, routed.deadline_limited);
         Response::Estimated {
             pool: meta,
             seeds: seeds.len() as u64,
-            consulted: effective.len() as u64,
+            consulted: consulted as u64,
             est_spread: est,
             warm: true,
             degraded,
@@ -1362,13 +1367,11 @@ fn meta_of(key: &PoolKey, pool: &SketchPool) -> PoolMeta {
     }
 }
 
-/// A per-query sketch budget: consult only the first `budget` sketches
-/// (prefixes are deterministic, so budgeted answers are too).
-fn apply_budget(pool: &SketchPool, budget: Option<u64>) -> SketchPool {
-    match budget {
-        Some(b) if (b as usize) < pool.len() => pool.prefix(b as usize),
-        _ => pool.clone(),
-    }
+/// The sketches a query consults under a per-query budget: the first
+/// `budget` of the pool, or all of it (prefixes are deterministic, so
+/// budgeted answers are too).
+fn budgeted_len(pool: &SketchPool, budget: Option<u64>) -> usize {
+    budget.map_or(pool.len(), |b| (b as usize).min(pool.len()))
 }
 
 #[cfg(test)]

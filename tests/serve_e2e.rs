@@ -198,6 +198,81 @@ fn budgeted_queries_match_a_cold_run_over_the_prefix() {
     }
 }
 
+/// Budgeted selects and estimates read the resident pool through a
+/// set-id bound; they must answer bit for bit what a cold run over the
+/// copied `SketchPool::prefix` answers — seeds, `covered`, `est_spread`,
+/// `consulted` and `capped` — for every budget shape, both selectors and
+/// both samplers' pools.
+#[test]
+fn budgeted_answers_equal_the_copied_prefix_bit_for_bit() {
+    let svc = ComicService::start(small_cfg(2)).expect("service");
+    let n = svc.graph().num_nodes() as u32;
+    for key in svc.pool_keys() {
+        let pool = svc.pool(&key).unwrap();
+        let len = pool.len();
+        for budget in [1, len / 2, len - 1, len, len + 7] {
+            let cut = pool.prefix(budget);
+            for (k, selector) in [
+                (1, SelectorKind::Celf),
+                (6, SelectorKind::NaiveGreedy),
+                (10, SelectorKind::Celf),
+            ] {
+                let cold = RisPipeline::new(TimConfig::new(k).selector(selector))
+                    .run_on_pool(&cut)
+                    .unwrap();
+                match svc.handle(&Request::Select {
+                    pool: key.clone(),
+                    k,
+                    selector: Some(selector),
+                    budget: Some(budget as u64),
+                    deadline_ms: None,
+                }) {
+                    Response::Selected {
+                        seeds,
+                        covered,
+                        est_spread,
+                        consulted,
+                        pool: meta,
+                        ..
+                    } => {
+                        let at = format!("{key} budget {budget} k {k} {selector:?}");
+                        let cold_seeds: Vec<u32> = cold.seeds.iter().map(|s| s.0).collect();
+                        assert_eq!(seeds, cold_seeds, "{at}");
+                        assert_eq!(covered, cold.covered, "{at}");
+                        assert_eq!(est_spread.to_bits(), cold.est_spread.to_bits(), "{at}");
+                        assert_eq!(consulted, cut.len() as u64, "{at}");
+                        assert_eq!(meta.capped, cut.capped(), "{at}");
+                    }
+                    other => panic!("expected Selected, got {other:?}"),
+                }
+            }
+            let seeds: Vec<u32> = vec![0, 17 % n, 42 % n, 900 % n];
+            let nodes: Vec<comic_graph::NodeId> =
+                seeds.iter().map(|&s| comic_graph::NodeId(s)).collect();
+            match svc.handle(&Request::Estimate {
+                pool: key.clone(),
+                seeds,
+                budget: Some(budget as u64),
+                deadline_ms: None,
+            }) {
+                Response::Estimated {
+                    consulted,
+                    est_spread,
+                    pool: meta,
+                    ..
+                } => {
+                    let at = format!("{key} budget {budget}");
+                    let want = cut.estimate_spread(&nodes);
+                    assert_eq!(est_spread.to_bits(), want.to_bits(), "{at}");
+                    assert_eq!(consulted, cut.len() as u64, "{at}");
+                    assert_eq!(meta.capped, cut.capped(), "{at}");
+                }
+                other => panic!("expected Estimated, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// Interleaved clients see exactly the serial bytes: `run_sharded` (the
 /// workspace's scoped-thread substrate) replays a deterministic query mix
 /// from several worker threads against one shared service.
